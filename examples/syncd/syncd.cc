@@ -139,34 +139,28 @@ int main(int argc, char** argv) {
 
   const PointSet canonical = CanonicalCloud();
   // Both hosts serve the identical wire protocol; pick one.
-  std::unique_ptr<server::SyncServer> threaded;
-  std::unique_ptr<server::AsyncSyncServer> async;
+  std::unique_ptr<server::SyncHost> host;
   if (use_async) {
     server::AsyncSyncServerOptions options;
     options.context = Context();
     options.params = Params();
     options.shards = shards;
-    async = std::make_unique<server::AsyncSyncServer>(canonical, options);
+    host = std::make_unique<server::AsyncSyncServer>(canonical, options);
   } else {
     server::SyncServerOptions options;
     options.context = Context();
     options.params = Params();
     options.worker_threads = workers;
-    threaded = std::make_unique<server::SyncServer>(canonical, options);
+    host = std::make_unique<server::SyncServer>(canonical, options);
   }
-  const bool started =
-      use_async ? async->Start(net::TcpListener::Listen("127.0.0.1", 0))
-                : threaded->Start(net::TcpListener::Listen("127.0.0.1", 0));
-  if (!started) {
+  if (!host->Start(net::TcpListener::Listen("127.0.0.1", 0))) {
     std::fprintf(stderr, "syncd: could not bind a loopback listener\n");
     return 1;
   }
-  const uint16_t port = use_async ? async->port() : threaded->port();
+  const uint16_t port = host->port();
   const auto start_time = std::chrono::steady_clock::now();
   obs::MetricsHttpServer metrics_http(
-      [&]() {
-        return use_async ? async->RenderMetrics() : threaded->RenderMetrics();
-      },
+      [&]() { return host->RenderMetrics(); },
       [&]() {
         // /healthz: one line a load balancer (or a human) can eyeball —
         // liveness, uptime, and the replication position.
@@ -174,14 +168,12 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_time)
                 .count();
-        const uint64_t seq =
-            use_async ? async->replica_seq() : threaded->replica_seq();
-        const bool dirty = use_async ? false : threaded->repair_dirty();
         char line[128];
         std::snprintf(line, sizeof line,
                       "ok uptime_seconds=%.1f replica_seq=%llu dirty=%d\n",
-                      uptime, static_cast<unsigned long long>(seq),
-                      dirty ? 1 : 0);
+                      uptime,
+                      static_cast<unsigned long long>(host->replica_seq()),
+                      host->repair_dirty() ? 1 : 0);
         return std::string(line);
       });
   if (serve_metrics) {
@@ -250,14 +242,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::seconds(hold_seconds));
   }
   metrics_http.Stop();  // the renderer borrows the host: stop it first
-  if (use_async) {
-    async->Stop();
-  } else {
-    threaded->Stop();
-  }
+  host->Stop();
 
-  const server::SyncServerMetrics metrics =
-      use_async ? async->metrics() : threaded->metrics();
+  const server::SyncServerMetrics metrics = host->metrics();
   std::printf("\nserver: %zu accepted, %zu ok, %zu failed, %zu rejected, "
               "peak %zu concurrent, %zu B in, %zu B out\n",
               metrics.connections_accepted, metrics.syncs_completed,

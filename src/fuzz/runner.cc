@@ -29,37 +29,6 @@ namespace {
 using replica::ReplicaNode;
 using replica::StreamFactory;
 
-/// Serves a threaded host on loopback TCP for the duration of one step:
-/// an accept loop feeding ServeConnection, torn down by closing the
-/// listener. (SyncServer::Start is one-shot per server, so transient
-/// listeners are hosted here instead.)
-class TcpServeScope {
- public:
-  explicit TcpServeScope(server::SyncServer* host)
-      : listener_(net::TcpListener::Listen("127.0.0.1", 0)) {
-    if (listener_ == nullptr) return;
-    acceptor_ = std::thread([host, listener = listener_.get()] {
-      for (;;) {
-        std::unique_ptr<net::TcpStream> stream = listener->Accept();
-        if (stream == nullptr) return;
-        host->ServeConnection(stream.get());
-      }
-    });
-  }
-
-  ~TcpServeScope() {
-    if (listener_ != nullptr) listener_->Close();
-    if (acceptor_.joinable()) acceptor_.join();
-  }
-
-  bool ok() const { return listener_ != nullptr; }
-  uint16_t port() const { return listener_ != nullptr ? listener_->port() : 0; }
-
- private:
-  std::unique_ptr<net::TcpListener> listener_;
-  std::thread acceptor_;
-};
-
 StreamFactory TcpDialer(uint16_t port, net::FaultOptions faults) {
   return [port, faults]() -> std::unique_ptr<net::ByteStream> {
     return net::MaybeWrapFaulty(net::TcpStream::Connect("127.0.0.1", port),
@@ -206,8 +175,9 @@ class Harness {
     replica::RoundRecord record;
     if (step.async_host) {
       // Tail leg from a transient async host mirroring the source's set
-      // and sharing its changelog; "@pull" repairs stay on the source's
-      // threaded host (the async reactor serves only the writer verbs).
+      // and sharing its changelog; the "@pull" repair leg dials the
+      // source's own host, which holds its replication position and dirty
+      // flag (the transient mirror starts clean, at position 0).
       server::AsyncSyncServerOptions async_options;
       async_options.context = ctx_;
       async_options.params = params_;
@@ -223,12 +193,13 @@ class Harness {
           PipeDialer(source, faults));
       async.Stop();
     } else if (step.tcp) {
-      TcpServeScope scope(&nodes_[source]->host());
-      if (!scope.ok()) {
+      server::SyncServer& host = nodes_[source]->host();
+      if (!host.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
         ++report_.sync_errors;
         return;
       }
-      record = nodes_[puller]->SyncWithPeer(TcpDialer(scope.port(), faults));
+      record = nodes_[puller]->SyncWithPeer(TcpDialer(host.port(), faults));
+      host.Stop();
     } else {
       record = nodes_[puller]->SyncWithPeer(PipeDialer(source, faults));
     }
@@ -266,12 +237,15 @@ class Harness {
     const server::SyncClient client(client_options);
     server::SyncOutcome outcome;
     if (step.tcp) {
-      TcpServeScope scope(&nodes_[step.source]->host());
-      if (!scope.ok()) return;
+      server::SyncServer& host = nodes_[step.source]->host();
+      if (!host.Start(net::TcpListener::Listen("127.0.0.1", 0))) return;
       const std::unique_ptr<net::ByteStream> stream =
-          net::TcpStream::Connect("127.0.0.1", scope.port());
+          net::TcpStream::Connect("127.0.0.1", host.port());
+      if (stream != nullptr) {
+        outcome = client.Sync(stream.get(), protocol, client_points);
+      }
+      host.Stop();
       if (stream == nullptr) return;
-      outcome = client.Sync(stream.get(), protocol, client_points);
     } else {
       auto [server_end, client_end] = net::PipeStream::CreatePair();
       std::thread server([host = &nodes_[step.source]->host(),

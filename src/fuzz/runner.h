@@ -17,9 +17,10 @@
 //     (fuzz/script.h explains the single-writer model);
 //   * sync steps run ReplicaNode::SyncWithPeer over in-process pipes or
 //     loopback TCP against the source's threaded host — or, for
-//     async_host steps, tail-fetch from a transient AsyncSyncServer while
-//     the "@pull" repair leg stays on the threaded host (the split the
-//     two-factory SyncWithPeer seam exists for);
+//     async_host steps, tail-fetch from a transient AsyncSyncServer
+//     mirroring the source while the "@pull" repair leg dials the
+//     source's own host, which holds its position and dirty flag (the
+//     split the two-factory SyncWithPeer seam exists for);
 //   * wire faults (net/fault_stream.h) wrap the puller's dialed streams:
 //     mid-verb disconnects and byte-dribbled I/O;
 //   * client-sync steps are a second oracle: one SyncClient run over the

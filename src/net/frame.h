@@ -59,6 +59,11 @@ void EncodeFrame(const transport::Message& message, std::vector<uint8_t>* out);
 /// Convenience: the frame as a fresh buffer.
 std::vector<uint8_t> EncodeFrame(const transport::Message& message);
 
+/// Size of `message`'s frame on the wire, without encoding it.
+inline size_t EncodedFrameBytes(const transport::Message& message) {
+  return kFrameHeaderBytes + message.label.size() + message.payload.size();
+}
+
 /// Incremental frame parser: feed bytes as they arrive, pop complete
 /// Messages. Once an error is reported the decoder stays failed (a byte
 /// stream with one corrupt frame has lost sync for good).

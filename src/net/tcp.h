@@ -17,6 +17,8 @@
 #ifndef RSR_NET_TCP_H_
 #define RSR_NET_TCP_H_
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -71,9 +73,13 @@ class TcpListener {
   /// Binds and listens on host:port. `host` must be a dotted-quad IPv4
   /// address ("127.0.0.1", "0.0.0.0", ...); anything else fails rather
   /// than silently binding all interfaces. Pass port 0 for an ephemeral
-  /// port and read it back with port(). Returns nullptr on failure.
+  /// port and read it back with port(). The default backlog asks for the
+  /// kernel's ceiling (net.core.somaxconn caps it): a burst of connects
+  /// larger than the queue overflows it, and each dropped SYN costs its
+  /// client a ~1 s retransmit. Returns nullptr on failure.
   static std::unique_ptr<TcpListener> Listen(const std::string& host,
-                                             uint16_t port, int backlog = 64);
+                                             uint16_t port,
+                                             int backlog = SOMAXCONN);
 
   ~TcpListener();
 

@@ -135,7 +135,7 @@ class ReplicaNode {
                                                       const PointSet& erases);
 
   /// Apply variant stamping the journaled entry with the trace that
-  /// caused the mutation (SyncServer::ApplyUpdate), so follower rounds
+  /// caused the mutation (SyncHost::ApplyUpdate), so follower rounds
   /// that later carry the entry link their spans back to it.
   std::shared_ptr<const server::SketchSnapshot> Apply(
       const PointSet& inserts, const PointSet& erases,
@@ -149,11 +149,10 @@ class ReplicaNode {
                            const std::string& peer_name = "peer");
 
   /// Split-dialer form: the "@log-fetch" leg dials `fetch_peer` and the
-  /// "@pull" repair leg dials `repair_peer`. The legs are separable because
-  /// the async host serves "@log-fetch" but not "@pull" (DESIGN.md §10):
-  /// a follower can tail an async writer while keeping its repair path on
-  /// the peer's threaded host. The convergence fuzzer routes its
-  /// async-host sync steps through exactly this seam.
+  /// "@pull" repair leg dials `repair_peer`, so a round can tail one host
+  /// and repair against another. The convergence fuzzer routes its
+  /// async-host sync steps through exactly this seam: it tails a transient
+  /// async mirror of a peer and repairs against the peer's own host.
   RoundRecord SyncWithPeer(const StreamFactory& fetch_peer,
                            const StreamFactory& repair_peer,
                            const std::string& peer_name = "peer");

@@ -1,13 +1,14 @@
-// Replication serving logic shared by both sync hosts.
+// Replication serving logic: the "@log-fetch" answer and the strata
+// estimate a repair is sized from.
 //
-// Answering an "@log-fetch" is the same computation whether the host is
-// the threaded SyncServer or the epoll AsyncSyncServer: slice the
-// changelog tail after the requested position, report the host's
-// replication position, and — when the tail is gone (or explicitly asked
-// for) — attach the exact-keys strata estimator so the fetching replica
-// can size its protocol repair before choosing one. Both hosts call
-// BuildLogBatch under their replication lock so the (entries, last_seq,
-// strata) triple is one consistent view. See DESIGN.md §10.
+// Answering an "@log-fetch" means slicing the changelog tail after the
+// requested position, reporting the host's replication position, and —
+// when the tail is gone (or explicitly asked for) — attaching the
+// exact-keys strata estimator so the fetching replica can size its
+// protocol repair before choosing one. The connection core
+// (server/connection.h) calls BuildLogBatch under the host's replication
+// lock so the (entries, last_seq, strata) triple is one consistent view.
+// See DESIGN.md §10.
 
 #ifndef RSR_SERVER_REPLICA_SERVING_H_
 #define RSR_SERVER_REPLICA_SERVING_H_

@@ -239,8 +239,7 @@ TEST(ReplicationFaultTest, AsyncHostTailSurvivesDribbleAndDisconnect) {
       return net::MaybeWrapFaulty(std::move(stream), faults);
     };
   };
-  // The async host serves "@log-fetch" but not "@pull" (DESIGN.md §10);
-  // these rounds are pure tails, so the repair leg must never dial.
+  // These rounds are pure tails, so the repair leg must never dial.
   const StreamFactory no_repair = []() -> std::unique_ptr<net::ByteStream> {
     ADD_FAILURE() << "tail round dialed the repair leg";
     return nullptr;
@@ -267,6 +266,56 @@ TEST(ReplicationFaultTest, AsyncHostTailSurvivesDribbleAndDisconnect) {
   EXPECT_EQ(SetDivergence(follower.points(), async_server.canonical()), 0u);
 
   async_server.Stop();
+}
+
+TEST(ReplicationFaultTest, AsyncHostServesExactAndFullPullRepairs) {
+  ChangelogOptions ring;
+  ring.capacity = 1;  // a follower at seq 0 falls off after two writes
+  Changelog changelog(ring);
+  server::AsyncSyncServerOptions async_options;
+  async_options.context = Ctx();
+  async_options.params = Params();
+  async_options.changelog = &changelog;
+  server::AsyncSyncServer async_server(Cloud(96, 4242), async_options);
+  ASSERT_TRUE(async_server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+  Rng rng(12);
+  for (size_t i = 0; i < 3; ++i) {
+    const workload::ChurnBatch batch = workload::MakeChurnBatch(
+        async_server.canonical(), Ctx().universe, SmallChurn(), &rng);
+    async_server.ApplyUpdate(batch.inserts, batch.erases);
+  }
+  const uint16_t port = async_server.port();
+  const StreamFactory dial = [port]() -> std::unique_ptr<net::ByteStream> {
+    return net::TcpStream::Connect("127.0.0.1", port);
+  };
+
+  // A small difference: the exact-key protocol repairs and the follower
+  // adopts the async host's position.
+  ReplicaNodeOptions exact_options = NodeOptions(64);
+  exact_options.exact_budget = 1000;
+  ReplicaNode near(Cloud(96, 4242), exact_options);
+  const RoundRecord exact = near.SyncWithPeer(dial);
+  EXPECT_EQ(exact.path, RoundPath::kRepairExact) << exact.error_detail;
+  EXPECT_EQ(exact.protocol, "riblt-oneshot");
+  EXPECT_TRUE(exact.ok);
+  EXPECT_EQ(near.applied_seq(), async_server.replica_seq());
+  EXPECT_FALSE(near.dirty());
+  EXPECT_EQ(SetDivergence(near.points(), async_server.canonical()), 0u);
+
+  // An unrelated set: past every sized band, so the full transfer runs.
+  ReplicaNode far(Cloud(96, 777), NodeOptions(64));
+  const RoundRecord full = far.SyncWithPeer(dial);
+  EXPECT_EQ(full.path, RoundPath::kRepairFull) << full.error_detail;
+  EXPECT_EQ(full.protocol, "full-transfer");
+  EXPECT_TRUE(full.ok);
+  EXPECT_EQ(far.applied_seq(), async_server.replica_seq());
+  EXPECT_EQ(SetDivergence(far.points(), async_server.canonical()), 0u);
+
+  async_server.Stop();
+  EXPECT_EQ(async_server.metrics_registry().CounterValue(
+                "rsr_sync_sessions_total",
+                {{"protocol", "@pull:riblt-oneshot"}, {"outcome", "ok"}}),
+            1u);
 }
 
 }  // namespace

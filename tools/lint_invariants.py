@@ -10,10 +10,9 @@ quietly stop describing reality. This script makes the drift loud:
   1. Every `rsr_*` metric name registered in src/ must be documented in
      DESIGN.md §12 (the observability contract).
   2. Every protocol verb (`@hello`, `@pull`, ...) declared in
-     server/handshake.h must be served by BOTH hosts — or, for
-     connection-opening verbs a host deliberately refuses, the refusal
-     must be documented in that host's header ("NOT served"). Reply
-     verbs must have their encode/decode pair in handshake.cc.
+     server/handshake.h that the connection core (server/connection.cc,
+     which serves both hosts) does not dispatch is a reply verb, and must
+     have its encode/decode pair in handshake.cc.
   3. Every BENCH_*.json row key that a ci.yml assertion block reads
      (`r["key"]`) must be emitted by the bench that produces the file.
 
@@ -26,10 +25,6 @@ import re
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-# Opening verbs a host may deliberately refuse; the refusal must still be
-# documented in the refusing host's header (checked below, not waived).
-THREADED_ONLY_VERBS = {"@pull"}
 
 # BENCH_*.json file -> the sources that emit its rows.
 BENCH_PRODUCERS = {
@@ -79,8 +74,8 @@ def check_metrics_documented(errors):
 
 
 def check_verbs_served(errors):
-    """Invariant 2: handshake verbs are served by both hosts (or the
-    refusal is documented), and reply verbs encode+decode."""
+    """Invariant 2: every handshake verb is either dispatched by the
+    connection core or a reply verb with an encode/decode pair."""
     handshake_h = read("src/server/handshake.h")
     verbs = dict(
         re.findall(
@@ -92,51 +87,21 @@ def check_verbs_served(errors):
         errors.append("server/handshake.h: no verb label constants found")
         return
 
-    # Serving is detected via the label CONSTANT in the host's .cc —
-    # dispatch always goes through the constants, while the quoted verb
-    # literal shows up in comments all over, so literals prove nothing.
-    hosts = {
-        "threaded": "src/server/sync_server.cc",
-        "async": "src/server/async_sync_server.cc",
-    }
-    host_text = {name: read(path) for name, path in hosts.items()}
-    host_docs = {
-        "threaded": read("src/server/sync_server.h"),
-        "async": read("src/server/async_sync_server.h"),
-    }
+    # Dispatch is detected via the label CONSTANT — it always goes through
+    # the constants, while the quoted verb literal shows up in comments
+    # all over, so literals prove nothing.
+    core = read("src/server/connection.cc")
     handshake_cc = read("src/server/handshake.cc")
-
     for const, verb in sorted(verbs.items()):
-        served = {name: const in text for name, text in host_text.items()}
-        if all(served.values()):
+        if const in core:
             continue
-        if not any(served.values()):
-            # A pure reply verb: emitted and parsed via the shared
-            # handshake.cc helpers both hosts call.
-            uses = handshake_cc.count(const)
-            if uses < 2:
-                errors.append(
-                    f"verb {verb} ({const}) is served by neither host and "
-                    f"handshake.cc references it {uses} time(s) — need an "
-                    f"encode/decode pair or host dispatch"
-                )
-            continue
-        # Served by exactly one host: allowed only for documented
-        # deliberately-asymmetric verbs.
-        missing = [name for name, ok in served.items() if not ok][0]
-        if verb not in THREADED_ONLY_VERBS:
+        # A reply verb: emitted and parsed via the handshake.cc helpers.
+        uses = handshake_cc.count(const)
+        if uses < 2:
             errors.append(
-                f"verb {verb} ({const}) is served by one host but not the "
-                f"{missing} host — serve it there or add it to "
-                f"THREADED_ONLY_VERBS with documentation"
-            )
-            continue
-        doc = host_docs[missing]
-        if f'"{verb}"' not in doc or "NOT served" not in doc:
-            errors.append(
-                f"verb {verb} is {missing}-host-refused but the refusal is "
-                f'not documented there (need the literal "{verb}" and the '
-                f'words "NOT served" in the host header)'
+                f"verb {verb} ({const}) is not dispatched by "
+                f"server/connection.cc and handshake.cc references it "
+                f"{uses} time(s) — need an encode/decode pair or dispatch"
             )
 
 
