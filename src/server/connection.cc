@@ -47,7 +47,25 @@ SyncHost::SyncHost(PointSet canonical, const SyncHostOptions& options)
           "Replication position (last journaled seq folded into the set)")),
       repair_dirty_gauge_(obs_.registry().GetGauge(
           "rsr_replica_repair_dirty",
-          "1 after an approximate repair, until an exact one supersedes")) {}
+          "1 after an approximate repair, until an exact one supersedes")) {
+  MutexLock lock(replica_mu_);
+  PublishView(store_.Snapshot());
+}
+
+SyncHost::ServedView SyncHost::View() const {
+  MutexLock lock(view_mu_);
+  return view_;
+}
+
+void SyncHost::PublishView(std::shared_ptr<const SketchSnapshot> snapshot) {
+  ServedView view{std::move(snapshot), replica_seq_, repair_dirty_};
+  {
+    MutexLock lock(view_mu_);
+    std::swap(view_, view);
+  }
+  // `view` now holds the previous snapshot, released outside the leaf
+  // lock.
+}
 
 std::shared_ptr<const SketchSnapshot> SyncHost::ApplyUpdate(
     const PointSet& inserts, const PointSet& erases) {
@@ -71,6 +89,7 @@ std::shared_ptr<const SketchSnapshot> SyncHost::ApplyUpdate(
     options_.changelog->Append(std::move(entry));
     replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   }
+  PublishView(snap);
   return snap;
 }
 
@@ -85,6 +104,7 @@ std::shared_ptr<const SketchSnapshot> SyncHost::ApplyReplicated(
   replica_seq_ = entry.seq;
   replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   if (options_.changelog != nullptr) options_.changelog->Append(entry);
+  PublishView(snap);
   return snap;
 }
 
@@ -105,28 +125,14 @@ std::shared_ptr<const SketchSnapshot> SyncHost::InstallRepair(
   }
   replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   repair_dirty_gauge_->Set(repair_dirty_ ? 1 : 0);
+  PublishView(snap);
   return snap;
 }
 
-uint64_t SyncHost::replica_seq() const {
-  MutexLock lock(replica_mu_);
-  return replica_seq_;
-}
-
-bool SyncHost::repair_dirty() const {
-  MutexLock lock(replica_mu_);
-  return repair_dirty_;
-}
-
 std::string SyncHost::DumpStats() const {
-  uint64_t generation = 0;
-  uint64_t seq = 0;
-  {
-    MutexLock lock(replica_mu_);
-    generation = store_.Snapshot()->generation();
-    seq = replica_seq_;
-  }
-  return rsr::server::DumpStats(metrics(), generation, seq);
+  const ServedView view = View();
+  return rsr::server::DumpStats(metrics(), view.snapshot->generation(),
+                                view.replica_seq);
 }
 
 // ----------------------------------------------------------- Connection
@@ -250,16 +256,13 @@ void Connection::Open(const transport::Message& message) {
 
   // Pin the session to one immutable canonical generation: the snapshot
   // supplies the point set and, when caching is on, Bob's precomputed
-  // sketches. The replication position and dirty flag are read under the
-  // write path's lock, so (snapshot, seq, dirty) is one consistent view.
-  uint64_t served_seq = 0;
-  bool dirty = false;
-  {
-    MutexLock lock(host_->replica_mu_);
-    snapshot_ = host_->store_.Snapshot();
-    served_seq = host_->replica_seq_;
-    dirty = host_->repair_dirty_;
-  }
+  // sketches. The host publishes (snapshot, seq, dirty) as one view at
+  // the end of each write, so the pin is consistent without waiting for
+  // a write in flight.
+  SyncHost::ServedView view = host_->View();
+  snapshot_ = std::move(view.snapshot);
+  const uint64_t served_seq = view.replica_seq;
+  const bool dirty = view.repair_dirty;
   transport::Message ack;
   if (pull) {
     // The puller runs Bob; this host is Alice — the direction that moves

@@ -178,19 +178,19 @@ class SyncHost {
 
   /// Replication position: seq of the last journaled mutation folded into
   /// the canonical set (0 on a non-replicating host).
-  uint64_t replica_seq() const;
+  uint64_t replica_seq() const { return View().replica_seq; }
 
   /// True after an approximate repair, until an exact one supersedes it.
-  bool repair_dirty() const;
+  bool repair_dirty() const { return View().repair_dirty; }
 
   /// The current canonical snapshot (points + generation + sketches).
   std::shared_ptr<const SketchSnapshot> snapshot() const {
-    return store_.Snapshot();
+    return View().snapshot;
   }
 
   /// The current canonical point set (by value: the set mutates under
   /// ApplyUpdate while the snapshot it came from stays frozen).
-  PointSet canonical() const { return store_.Snapshot()->points(); }
+  PointSet canonical() const { return View().snapshot->points(); }
 
  protected:
   SyncHost(PointSet canonical, const SyncHostOptions& options);
@@ -203,6 +203,22 @@ class SyncHost {
  private:
   friend class Connection;
 
+  /// What a reader pins: one consistent (snapshot, replica_seq,
+  /// repair_dirty) triple, published at the end of every write.
+  struct ServedView {
+    std::shared_ptr<const SketchSnapshot> snapshot;
+    uint64_t replica_seq = 0;
+    bool repair_dirty = false;
+  };
+
+  /// The last published view. Takes only view_mu_, so it never waits for
+  /// a write in flight.
+  ServedView View() const;
+  /// Publishes `snapshot` with the current position and dirty flag as the
+  /// served view; the last step of every write path.
+  void PublishView(std::shared_ptr<const SketchSnapshot> snapshot)
+      RSR_REQUIRES(replica_mu_);
+
   obs::Clock* const clock_;
   /// Mints trace ids for sessions arriving without inbound context.
   obs::TraceIdGenerator trace_gen_;
@@ -213,15 +229,21 @@ class SyncHost {
   obs::Gauge* const replica_seq_gauge_;
   obs::Gauge* const repair_dirty_gauge_;
 
-  /// Guards the (store mutation, changelog append, replica_seq_,
-  /// repair_dirty_) compound so a served snapshot + position pair is
-  /// always consistent. LOCK ORDER: this is the OUTERMOST lock of the
-  /// write path — the store's and changelog's internal mutexes nest
-  /// inside it (replica_mu_ → store mu_ / changelog mu_; DESIGN.md §13).
-  /// Never call back into SyncHost's locking methods while holding it.
+  /// The write lock: guards the (store mutation, changelog append,
+  /// replica_seq_, repair_dirty_) compound. Readers that pin a session
+  /// never take it — they read view_ — but "@log-fetch" does, because
+  /// its batch must agree with the changelog. LOCK ORDER: this is the
+  /// OUTERMOST lock of the write path — the store's and changelog's
+  /// internal mutexes and view_mu_ nest inside it (replica_mu_ → store
+  /// mu_ / changelog mu_ / view_mu_; DESIGN.md §13). Never call back into
+  /// SyncHost's locking methods while holding it.
   mutable Mutex replica_mu_;
   uint64_t replica_seq_ RSR_GUARDED_BY(replica_mu_) = 0;
   bool repair_dirty_ RSR_GUARDED_BY(replica_mu_) = false;
+  /// Leaf lock guarding only view_: held to copy or replace the triple,
+  /// never across an apply or another lock.
+  mutable Mutex view_mu_ RSR_ACQUIRED_AFTER(replica_mu_);
+  ServedView view_ RSR_GUARDED_BY(view_mu_);
 };
 
 /// One served connection, from its opening frame to its settlement.

@@ -173,22 +173,28 @@ SketchStore::SketchStore(PointSet canonical, SketchStoreOptions options)
       lshrecon::MlshEffectiveWidth(context_.universe, params_.mlsh),
       params_.mlsh.NumFunctions(), context_.seed);
   MutexLock lock(mu_);
-  snapshot_ = Rebuild(std::move(canonical), /*generation=*/0);
-  PublishMetrics();
+  Publish(Rebuild(std::move(canonical), /*generation=*/0));
 }
 
-void SketchStore::PublishMetrics() const {
+void SketchStore::Publish(std::shared_ptr<const SketchSnapshot> snap) {
+  current_ = snap;
+  {
+    MutexLock lock(publish_mu_);
+    published_.swap(snap);
+  }
+  // `snap` now holds the previous generation: if no session pinned it,
+  // it is freed here, outside the publish lock.
   if (metrics_.generation != nullptr) {
-    metrics_.generation->Set(static_cast<int64_t>(snapshot_->generation()));
+    metrics_.generation->Set(static_cast<int64_t>(current_->generation()));
   }
   if (metrics_.points != nullptr) {
-    metrics_.points->Set(static_cast<int64_t>(snapshot_->size()));
+    metrics_.points->Set(static_cast<int64_t>(current_->size()));
   }
 }
 
 std::shared_ptr<const SketchSnapshot> SketchStore::Snapshot() const {
-  MutexLock lock(mu_);
-  return snapshot_;
+  MutexLock lock(publish_mu_);
+  return published_;
 }
 
 std::shared_ptr<SketchSnapshot> SketchStore::Rebuild(PointSet points,
@@ -304,19 +310,18 @@ void SketchStore::UpdatePoint(SketchSnapshot* snap, const Point& p,
 
   // Exact strata: the occurrence index of the mutated copy is its
   // multiplicity before (insert) / after (erase) the update.
-  const int64_t copies = point_counts_.count(p) ? point_counts_[p] : 0;
+  // One map search per point: the iterator serves the read and the write.
   if (direction > 0) {
-    snap->exact_strata_->Insert(recon::ExactOccurrenceKey(p, static_cast<size_t>(copies), context_.seed));
-    point_counts_[p] = copies + 1;
+    const auto it = point_counts_.try_emplace(p, 0).first;
+    snap->exact_strata_->Insert(recon::ExactOccurrenceKey(
+        p, static_cast<size_t>(it->second), context_.seed));
+    ++it->second;
   } else {
-    RSR_CHECK(copies > 0);
-    snap->exact_strata_->Erase(
-        recon::ExactOccurrenceKey(p, static_cast<size_t>(copies - 1), context_.seed));
-    if (copies == 1) {
-      point_counts_.erase(p);
-    } else {
-      point_counts_[p] = copies - 1;
-    }
+    const auto it = point_counts_.find(p);
+    RSR_CHECK(it != point_counts_.end() && it->second > 0);
+    snap->exact_strata_->Erase(recon::ExactOccurrenceKey(
+        p, static_cast<size_t>(it->second - 1), context_.seed));
+    if (--it->second == 0) point_counts_.erase(it);
   }
 
   // MLSH ladder and one-shot RIBLTs: plain linear Insert/Erase.
@@ -348,59 +353,67 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
   // skipped in the sketch updates — then the inserts are appended. One
   // sweep instead of a find-per-erase keeps a batch O(|S| + batch), not
   // O(|S| · batch) (the per-element find was the only set-size-
-  // proportional term the header comment did not account for).
-  std::map<Point, int64_t, PointOrder> pending;
-  for (const Point& e : erases) ++pending[e];
+  // proportional term the header comment did not account for). An
+  // insert-only batch (replicated inserts, insert-only repairs) copies
+  // the set straight through.
+  const PointSet& old_points = current_->points();
   PointSet points;
-  points.reserve(snapshot_->points().size() + inserts.size());
+  points.reserve(old_points.size() + inserts.size());
   PointSet applied_erases;
-  applied_erases.reserve(erases.size());
-  for (const Point& p : snapshot_->points()) {
-    const auto it = pending.find(p);
-    if (it != pending.end() && it->second > 0) {
-      --it->second;
-      applied_erases.push_back(p);
-      continue;
+  if (erases.empty()) {
+    points.assign(old_points.begin(), old_points.end());
+  } else {
+    std::map<Point, int64_t, PointOrder> pending;
+    for (const Point& e : erases) ++pending[e];
+    applied_erases.reserve(erases.size());
+    for (const Point& p : old_points) {
+      const auto it = pending.find(p);
+      if (it != pending.end() && it->second > 0) {
+        --it->second;
+        applied_erases.push_back(p);
+        continue;
+      }
+      points.push_back(p);
     }
-    points.push_back(p);
   }
   points.insert(points.end(), inserts.begin(), inserts.end());
 
-  const uint64_t generation = snapshot_->generation() + 1;
+  const uint64_t generation = current_->generation() + 1;
   const bool incremental_ok =
       materialize_ &&
       recon::HistogramCountBits(points.size()) ==
-          recon::HistogramCountBits(snapshot_->points().size()) &&
-      snapshot_->oneshot_config_.has_value() &&
+          recon::HistogramCountBits(old_points.size()) &&
+      current_->oneshot_config_.has_value() &&
       SameRibltWidths(RibltOneShotConfig(context_.universe, params_.riblt,
                                          points.size(), context_.seed),
-                      *snapshot_->oneshot_config_) &&
-      (snapshot_->mlsh_configs_.empty() ||
+                      *current_->oneshot_config_) &&
+      (current_->mlsh_configs_.empty() ||
        SameRibltWidths(
            lshrecon::MlshLevelConfig(context_.universe, params_.mlsh,
                                      points.size(), 0, context_.seed),
-           snapshot_->mlsh_configs_[0]));
+           current_->mlsh_configs_[0]));
   if (!incremental_ok) {
     // Crossing a histogram-width boundary invalidates every level IBLT's
     // value layout, and crossing a RIBLT sum-width boundary (see
     // SameRibltWidths) invalidates the cached one-shot and MLSH tables;
     // take the set-proportional path (rare: widths change near powers of
     // two of |S|).
-    snapshot_ = Rebuild(std::move(points), generation);
-    PublishMetrics();
-    return snapshot_;
+    Publish(Rebuild(std::move(points), generation));
+    return current_;
   }
 
   // Incremental path: clone the sketch state (O(cells), set-size
   // independent), then apply the per-point increments.
-  auto snap = std::shared_ptr<SketchSnapshot>(new SketchSnapshot(*snapshot_));
+  auto snap = std::shared_ptr<SketchSnapshot>(new SketchSnapshot(*current_));
   snap->generation_ = generation;
   snap->points_ = std::move(points);
   for (const Point& e : applied_erases) UpdatePoint(snap.get(), e, -1);
   for (const Point& i : inserts) UpdatePoint(snap.get(), i, +1);
   // The keyed list is positional (sorted, occurrence-indexed), so it is
-  // re-derived from the multiset view rather than patched in place. O(n)
-  // copying, zero hashing or sorting.
+  // re-derived from the multiset view rather than patched in place: no
+  // sorting, but O(n) copying AND O(n) hashing — ExactOccurrenceKey runs
+  // PointKey for every point of the set on every batch, including the
+  // ones the batch left untouched.
   auto keyed = std::make_shared<recon::KeyedPointList>();
   keyed->reserve(snap->points_.size());
   for (const auto& [point, copies] : point_counts_) {
@@ -410,9 +423,8 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
     }
   }
   snap->exact_keyed_ = std::move(keyed);
-  snapshot_ = std::move(snap);
-  PublishMetrics();
-  return snapshot_;
+  Publish(std::move(snap));
+  return current_;
 }
 
 }  // namespace server

@@ -4,8 +4,10 @@
 // dispatch, reject, stall and mid-session control-frame paths both hosts
 // share, pinned below the I/O drivers.
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "recon/driver.h"
 #include "recon/registry.h"
 #include "recon/session.h"
+#include "replica/changelog.h"
 #include "server/connection.h"
 #include "server/handshake.h"
 #include "server/sync_server.h"
@@ -279,6 +282,113 @@ TEST(ConnectionTest, PullHostsAliceUntilTheCleanClose) {
   h.conn.OnStreamEnd(SessionError::kTransportClosed, /*clean=*/true);
   h.conn.Close(0, 0);
   EXPECT_EQ(h.Sessions("@pull:full-transfer", "ok"), 1u);
+}
+
+// Sessions pin a generation while a writer applies batches: every
+// "@accept" and "@pull-accept" must carry one consistent (generation,
+// replica_seq, set size) view. On a journaling host both counters start
+// at 0 and each ApplyUpdate advances each by one, so they are equal on
+// every reply, and the size must be the one the writer mirrored for that
+// generation. No timing is asserted: readers may or may not overlap an
+// apply, and either way the view they pin must be whole.
+TEST(ConnectionTest, PinnedViewStaysConsistentUnderConcurrentWrites) {
+  constexpr size_t kBatches = 200;
+  constexpr size_t kInsertsPerBatch = 3;
+  constexpr int kReaders = 3;
+  replica::Changelog log;
+  SyncServerOptions options = HostOptions();
+  options.changelog = &log;
+  SyncServer host(Cloud(48, 7), std::move(options));
+  ASSERT_EQ(host.snapshot()->generation(), 0u);
+  ASSERT_EQ(host.replica_seq(), 0u);
+
+  // size_at[g]: the set size the writer mirrored for generation g. Only
+  // the writer touches it until the join.
+  std::vector<size_t> size_at(kBatches + 1, 0);
+  size_at[0] = host.canonical().size();
+  const PointSet fresh = Cloud(kBatches * kInsertsPerBatch, 99);
+  ASSERT_EQ(fresh.size(), kBatches * kInsertsPerBatch);
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    PointSet previous;
+    for (size_t b = 0; b < kBatches; ++b) {
+      const PointSet inserts(fresh.begin() + b * kInsertsPerBatch,
+                             fresh.begin() + (b + 1) * kInsertsPerBatch);
+      // One point the previous batch inserted: present, so the erase
+      // applies and the size moves by exactly |inserts| - |erases|.
+      PointSet erases;
+      if (!previous.empty()) erases.push_back(previous[0]);
+      const auto snap = host.ApplyUpdate(inserts, erases);
+      size_at[b + 1] = size_at[b] + inserts.size() - erases.size();
+      EXPECT_EQ(snap->generation(), b + 1);
+      EXPECT_EQ(snap->size(), size_at[b + 1]);
+      previous = inserts;
+    }
+    writing = false;
+  });
+
+  struct Pinned {
+    uint64_t generation;
+    uint64_t size;
+  };
+  std::vector<std::vector<Pinned>> pinned(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&host, &writing, &pinned, r] {
+      bool pull = r % 2 == 1;
+      do {
+        std::vector<transport::Message> sent;
+        Connection conn(&host, [&sent](const transport::Message& message) {
+          sent.push_back(message);
+          return true;
+        });
+        Pinned view{};
+        uint64_t seq = 0;
+        if (pull) {
+          PullFrame frame;
+          frame.protocol = "full-transfer";
+          conn.OnFrame(EncodePull(frame));
+          PullAcceptFrame accept;
+          ASSERT_FALSE(sent.empty());
+          ASSERT_TRUE(DecodePullAccept(sent[0], &accept));
+          EXPECT_FALSE(accept.dirty);
+          view = {accept.generation, accept.server_set_size};
+          seq = accept.seq;
+        } else {
+          conn.OnFrame(Hello("full-transfer"));
+          AcceptFrame accept;
+          ASSERT_FALSE(sent.empty());
+          ASSERT_TRUE(DecodeAccept(sent[0], &accept));
+          view = {accept.generation, accept.server_set_size};
+          seq = accept.replica_seq;
+        }
+        EXPECT_EQ(view.generation, seq);
+        pinned[r].push_back(view);
+        conn.OnStreamEnd(SessionError::kTransportClosed, /*clean=*/true);
+        conn.Close(0, 0);
+        pull = !pull;
+      } while (writing);
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  for (const std::vector<Pinned>& views : pinned) {
+    ASSERT_FALSE(views.empty());
+    uint64_t last_generation = 0;
+    for (const Pinned& view : views) {
+      ASSERT_LE(view.generation, kBatches);
+      EXPECT_EQ(view.size, size_at[view.generation])
+          << "generation " << view.generation;
+      // Publication is ordered: one reader never sees a generation go
+      // backwards.
+      EXPECT_GE(view.generation, last_generation);
+      last_generation = view.generation;
+    }
+  }
+  EXPECT_EQ(host.snapshot()->generation(), kBatches);
+  EXPECT_EQ(host.replica_seq(), kBatches);
+  EXPECT_EQ(log.last_seq(), kBatches);
 }
 
 }  // namespace
