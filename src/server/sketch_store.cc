@@ -173,28 +173,22 @@ SketchStore::SketchStore(PointSet canonical, SketchStoreOptions options)
       lshrecon::MlshEffectiveWidth(context_.universe, params_.mlsh),
       params_.mlsh.NumFunctions(), context_.seed);
   MutexLock lock(mu_);
-  Publish(Rebuild(std::move(canonical), /*generation=*/0));
+  snapshot_ = Rebuild(std::move(canonical), /*generation=*/0);
+  PublishMetrics();
 }
 
-void SketchStore::Publish(std::shared_ptr<const SketchSnapshot> snap) {
-  current_ = snap;
-  {
-    MutexLock lock(publish_mu_);
-    published_.swap(snap);
-  }
-  // `snap` now holds the previous generation: if no session pinned it,
-  // it is freed here, outside the publish lock.
+void SketchStore::PublishMetrics() const {
   if (metrics_.generation != nullptr) {
-    metrics_.generation->Set(static_cast<int64_t>(current_->generation()));
+    metrics_.generation->Set(static_cast<int64_t>(snapshot_->generation()));
   }
   if (metrics_.points != nullptr) {
-    metrics_.points->Set(static_cast<int64_t>(current_->size()));
+    metrics_.points->Set(static_cast<int64_t>(snapshot_->size()));
   }
 }
 
 std::shared_ptr<const SketchSnapshot> SketchStore::Snapshot() const {
-  MutexLock lock(publish_mu_);
-  return published_;
+  MutexLock lock(mu_);
+  return snapshot_;
 }
 
 std::shared_ptr<SketchSnapshot> SketchStore::Rebuild(PointSet points,
@@ -353,58 +347,52 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
   // skipped in the sketch updates — then the inserts are appended. One
   // sweep instead of a find-per-erase keeps a batch O(|S| + batch), not
   // O(|S| · batch) (the per-element find was the only set-size-
-  // proportional term the header comment did not account for). An
-  // insert-only batch (replicated inserts, insert-only repairs) copies
-  // the set straight through.
-  const PointSet& old_points = current_->points();
+  // proportional term the header comment did not account for).
+  std::map<Point, int64_t, PointOrder> pending;
+  for (const Point& e : erases) ++pending[e];
   PointSet points;
-  points.reserve(old_points.size() + inserts.size());
+  points.reserve(snapshot_->points().size() + inserts.size());
   PointSet applied_erases;
-  if (erases.empty()) {
-    points.assign(old_points.begin(), old_points.end());
-  } else {
-    std::map<Point, int64_t, PointOrder> pending;
-    for (const Point& e : erases) ++pending[e];
-    applied_erases.reserve(erases.size());
-    for (const Point& p : old_points) {
-      const auto it = pending.find(p);
-      if (it != pending.end() && it->second > 0) {
-        --it->second;
-        applied_erases.push_back(p);
-        continue;
-      }
-      points.push_back(p);
+  applied_erases.reserve(erases.size());
+  for (const Point& p : snapshot_->points()) {
+    const auto it = pending.find(p);
+    if (it != pending.end() && it->second > 0) {
+      --it->second;
+      applied_erases.push_back(p);
+      continue;
     }
+    points.push_back(p);
   }
   points.insert(points.end(), inserts.begin(), inserts.end());
 
-  const uint64_t generation = current_->generation() + 1;
+  const uint64_t generation = snapshot_->generation() + 1;
   const bool incremental_ok =
       materialize_ &&
       recon::HistogramCountBits(points.size()) ==
-          recon::HistogramCountBits(old_points.size()) &&
-      current_->oneshot_config_.has_value() &&
+          recon::HistogramCountBits(snapshot_->points().size()) &&
+      snapshot_->oneshot_config_.has_value() &&
       SameRibltWidths(RibltOneShotConfig(context_.universe, params_.riblt,
                                          points.size(), context_.seed),
-                      *current_->oneshot_config_) &&
-      (current_->mlsh_configs_.empty() ||
+                      *snapshot_->oneshot_config_) &&
+      (snapshot_->mlsh_configs_.empty() ||
        SameRibltWidths(
            lshrecon::MlshLevelConfig(context_.universe, params_.mlsh,
                                      points.size(), 0, context_.seed),
-           current_->mlsh_configs_[0]));
+           snapshot_->mlsh_configs_[0]));
   if (!incremental_ok) {
     // Crossing a histogram-width boundary invalidates every level IBLT's
     // value layout, and crossing a RIBLT sum-width boundary (see
     // SameRibltWidths) invalidates the cached one-shot and MLSH tables;
     // take the set-proportional path (rare: widths change near powers of
     // two of |S|).
-    Publish(Rebuild(std::move(points), generation));
-    return current_;
+    snapshot_ = Rebuild(std::move(points), generation);
+    PublishMetrics();
+    return snapshot_;
   }
 
   // Incremental path: clone the sketch state (O(cells), set-size
   // independent), then apply the per-point increments.
-  auto snap = std::shared_ptr<SketchSnapshot>(new SketchSnapshot(*current_));
+  auto snap = std::shared_ptr<SketchSnapshot>(new SketchSnapshot(*snapshot_));
   snap->generation_ = generation;
   snap->points_ = std::move(points);
   for (const Point& e : applied_erases) UpdatePoint(snap.get(), e, -1);
@@ -423,8 +411,9 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
     }
   }
   snap->exact_keyed_ = std::move(keyed);
-  Publish(std::move(snap));
-  return current_;
+  snapshot_ = std::move(snap);
+  PublishMetrics();
+  return snapshot_;
 }
 
 }  // namespace server

@@ -14,11 +14,9 @@
 // Snapshots: readers (sessions) get an immutable, generation-stamped
 // SketchSnapshot — the point set plus its sketches — behind a shared_ptr.
 // ApplyUpdate never mutates a published snapshot; it clones the O(k·levels)
-// sketch state, applies the increments, and only then publishes the new
-// snapshot, so in-flight sessions pinned to an older generation keep a
-// consistent view for as long as they hold the pointer, and a reader
-// arriving mid-apply is handed the previous generation without waiting
-// for the apply to finish. The generation travels in the
+// sketch state, applies the increments, and publishes a new snapshot, so
+// in-flight sessions pinned to an older generation keep a consistent view
+// for as long as they hold the pointer. The generation travels in the
 // "@accept" handshake frame, which is what lets a load harness check a
 // served result against the exact canonical set it was served from
 // (bench/bench_e18_churn.cc).
@@ -135,24 +133,23 @@ class SketchSnapshot final : public recon::CanonicalSketchProvider {
 
 /// The mutable store. Thread-safe: any number of threads may call
 /// Snapshot() while one (or several, serialized internally) call
-/// ApplyUpdate. A reader never waits for an apply: the clone and the
-/// increments run under the writer lock only, and Snapshot() takes just
-/// the publish lock, which is held to copy or swap one pointer.
+/// ApplyUpdate; a Snapshot() issued during an apply waits for it to
+/// finish. A SyncHost never lets a session wait here: it calls Snapshot()
+/// only under its own replica_mu_, which already excludes every apply,
+/// and serves sessions from the view it publishes after each write
+/// (server/connection.h, DESIGN.md §13).
 class SketchStore {
  public:
   SketchStore(PointSet canonical, SketchStoreOptions options);
 
-  /// The last published generation's immutable snapshot. Never waits for
-  /// an ApplyUpdate in flight: that batch's generation is not published
-  /// until its apply completes.
+  /// The current generation's immutable snapshot.
   std::shared_ptr<const SketchSnapshot> Snapshot() const;
 
   /// Applies one batch of mutations — erases first (each removes the first
   /// equal point; erases of absent points are ignored), then inserts —
-  /// and, once the new snapshot is complete, publishes it; it is also
-  /// returned. Sketch work is O((|inserts| + |erases|) · levels),
-  /// independent of |S|, except when the batch crosses a histogram-width
-  /// boundary (see header comment).
+  /// and publishes a new snapshot, which is also returned. Sketch work is
+  /// O((|inserts| + |erases|) · levels), independent of |S|, except when
+  /// the batch crosses a histogram-width boundary (see header comment).
   std::shared_ptr<const SketchSnapshot> ApplyUpdate(const PointSet& inserts,
                                                     const PointSet& erases);
 
@@ -173,9 +170,8 @@ class SketchStore {
   std::shared_ptr<SketchSnapshot> Rebuild(PointSet points,
                                           uint64_t generation)
       RSR_REQUIRES(mu_);
-  /// Makes `snap` the writer's current snapshot and the published one,
-  /// then pushes generation/size onto the gauges.
-  void Publish(std::shared_ptr<const SketchSnapshot> snap) RSR_REQUIRES(mu_);
+  /// Pushes generation/size onto the gauges.
+  void PublishMetrics() const RSR_REQUIRES(mu_);
   /// Applies one point's insertion (direction +1) or removal (-1) to every
   /// sketch of `snap` and to the maintenance histograms.
   void UpdatePoint(SketchSnapshot* snap, const Point& p, int direction)
@@ -190,21 +186,12 @@ class SketchStore {
   std::vector<size_t> mlsh_prefixes_;
   std::unique_ptr<lshrecon::MlshFamily> mlsh_family_;
 
-  /// The writer lock: serializes ApplyUpdate/Rebuild and guards the
-  /// incremental maintenance state and the writer's current snapshot.
-  /// Readers never take it. On a replicating host this mutex nests INSIDE
-  /// the host's replica_mu_ (replica_mu_ → store mu_ → publish_mu_; see
-  /// DESIGN.md §13) — never take replica_mu_ while holding it.
-  Mutex mu_;
-  /// The snapshot the next batch is applied to (== published_ whenever
-  /// mu_ is free).
-  std::shared_ptr<const SketchSnapshot> current_ RSR_GUARDED_BY(mu_);
-  /// Leaf lock guarding only the published pointer: held to copy it
-  /// (Snapshot) or swap it (Publish), never across sketch work or another
-  /// lock.
-  mutable Mutex publish_mu_ RSR_ACQUIRED_AFTER(mu_);
-  std::shared_ptr<const SketchSnapshot> published_
-      RSR_GUARDED_BY(publish_mu_);
+  /// Guards the published snapshot pointer and the incremental
+  /// maintenance state. On a replicating host this mutex nests INSIDE
+  /// the host's replica_mu_ (replica_mu_ → store mu_; see DESIGN.md
+  /// §13) — never take replica_mu_ while holding it.
+  mutable Mutex mu_;
+  std::shared_ptr<const SketchSnapshot> snapshot_ RSR_GUARDED_BY(mu_);
   /// Per cached level: cell key -> (cell, count); the store's own record
   /// of the current histograms, needed to translate a point mutation into
   /// the erase-old-entry / insert-new-entry pair on the level sketches.
